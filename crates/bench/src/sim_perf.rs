@@ -15,10 +15,11 @@
 //! engines stayed byte-identical — the robustness-sweep configurations
 //! that used to fall back to the reference loop.
 //!
-//! CI gates on this artifact: `run/dcache` and `run/dstore` must not
-//! regress more than 1.3x over the committed snapshot, the dstore replay
-//! speedup must stay ≥ 5x, and every `bit_identical` flag (domain and
-//! policy rows) plus every policy row's `fast_path` flag must hold.
+//! CI gates on this artifact: the dcache and dstore replay speedups must
+//! stay at least 1/1.3 of the committed snapshot's (a ratio of two engines
+//! timed in the same run, so the gate holds on any host), the dstore
+//! replay speedup must stay ≥ 5x, and every `bit_identical` flag (domain
+//! and policy rows) plus every policy row's `fast_path` flag must hold.
 
 use crate::Scale;
 use catalyze_cat::{Domain, MeasurementSet, RunnerConfig, SimEngine, SimRequest};

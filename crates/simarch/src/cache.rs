@@ -236,9 +236,10 @@ impl Cache {
     /// argmin scan is shared by every policy: an invalid way's zero stamp
     /// is the unconditional minimum and first-wins tiebreaking matches the
     /// first-free-way preference, so [`Cache::policy_victim`] only runs
-    /// when the set is full (`best_lru != 0`). Shared between
-    /// [`Cache::fill`] and [`Cache::fill_fast`] so both engines draw from
-    /// the same xorshift sequence.
+    /// when the set is full (`best_lru != 0`). [`Cache::lookup_fill_fast`]
+    /// fuses the same argmin into its probe scan and calls the same
+    /// [`Cache::policy_victim`], so both engines draw from the same
+    /// xorshift sequence.
     #[inline]
     fn select_victim(&mut self, base: usize) -> usize {
         let ways = self.cfg.associativity as usize;
@@ -259,8 +260,9 @@ impl Cache {
 
     /// Victim choice in a *full* set for the non-LRU policies. Out of line
     /// on purpose: inlining the pLRU tree walk and the xorshift draw into
-    /// the fill hot loops costs the dominant LRU configuration ~40% on the
-    /// dcache replay even when the policy branch is never taken.
+    /// [`Cache::lookup_fill_fast`]'s scan loop costs the dominant LRU
+    /// configuration ~40% on the dcache replay even when the policy branch
+    /// is never taken.
     #[inline(never)]
     fn policy_victim(&mut self, base: usize) -> usize {
         let ways = self.cfg.associativity as usize;
@@ -287,53 +289,48 @@ impl Cache {
         base + w
     }
 
-    /// Fast-path lookup for the stream replay engine: the exact hit/stamp
-    /// behavior of [`Cache::access`] minus statistics (tallied in bulk by
-    /// the caller). The pLRU word is maintained only under
-    /// [`ReplacementPolicy::TreePlru`] — the one policy that consults it —
-    /// so LRU/Random probes skip the tree walk without changing any
+    /// Fast-path lookup-and-install for the stream replay engine: the
+    /// exact state transition of [`Cache::access`], then of [`Cache::fill`]
+    /// on a miss, from one scan of the set that tracks the hit and the
+    /// stamp argmin together. The clock ticks as in the reference (probe
+    /// +1, fill +1); statistics are tallied in bulk by the caller and the
+    /// evicted address is not reconstructed. The pLRU word is maintained
+    /// only under [`ReplacementPolicy::TreePlru`] — the one policy that
+    /// consults it — so LRU/Random skip the tree walk without changing any
     /// observable state.
+    ///
+    /// Installing at once is exact: between a level's missed probe and its
+    /// fill the reference touches only *other* levels, so this set's tags,
+    /// stamps and pLRU word and the xorshift state are unchanged, and the
+    /// miss scan's argmin is the victim a second scan would pick.
     #[inline]
-    pub(crate) fn probe_fast(&mut self, addr: u64) -> bool {
+    pub(crate) fn lookup_fill_fast(&mut self, addr: u64) -> bool {
         self.clock += 1;
         let (base, tag) = self.set_range(addr);
         let ways = self.cfg.associativity as usize;
-        for w in 0..ways {
-            if self.lru[base + w] != 0 && self.tags[base + w] == tag {
-                self.lru[base + w] = self.clock;
-                if self.cfg.policy == ReplacementPolicy::TreePlru {
-                    touch_plru_outlined(
-                        &mut self.plru[base / ways],
-                        w as u32,
-                        self.cfg.associativity,
-                    );
-                }
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Fast-path install: the exact victim choice and stamping of
-    /// [`Cache::fill`] under every policy, minus the evicted address
-    /// reconstruction; the pLRU touch runs only when the policy reads it.
-    #[inline]
-    pub(crate) fn fill_fast(&mut self, addr: u64) {
-        self.clock += 1;
-        let (base, tag) = self.set_range(addr);
-        let ways = self.cfg.associativity as usize;
-        let mut victim = base;
+        let mut way = 0;
         let mut best_lru = u64::MAX;
-        for (i, &stamp) in self.lru[base..base + ways].iter().enumerate() {
+        let mut hit = false;
+        let (stamps, tags) = (&self.lru[base..base + ways], &self.tags[base..base + ways]);
+        for (w, (&stamp, &t)) in stamps.iter().zip(tags).enumerate() {
+            if stamp != 0 && t == tag {
+                hit = true;
+                way = w;
+                break;
+            }
             if stamp < best_lru {
                 best_lru = stamp;
-                victim = base + i;
+                way = w;
             }
         }
-        if best_lru != 0 && self.cfg.policy != ReplacementPolicy::Lru {
-            victim = self.policy_victim(base);
+        let mut victim = base + way;
+        if !hit {
+            self.clock += 1;
+            if best_lru != 0 && self.cfg.policy != ReplacementPolicy::Lru {
+                victim = self.policy_victim(base);
+            }
+            self.tags[victim] = tag;
         }
-        self.tags[victim] = tag;
         self.lru[victim] = self.clock;
         if self.cfg.policy == ReplacementPolicy::TreePlru {
             touch_plru_outlined(
@@ -342,6 +339,7 @@ impl Cache {
                 self.cfg.associativity,
             );
         }
+        hit
     }
 
     /// Exact state transition of [`Cache::access`] with no statistics at
@@ -442,8 +440,8 @@ impl Cache {
 
 /// Marks way `w` most-recently-used in a tree-pLRU bit word: walk from the
 /// root, flipping each internal node to point *away* from the taken path.
-/// Out-of-line [`touch_plru`] for the fast-path hot loops: keeps the tree
-/// walk's code out of `probe_fast`/`fill_fast`, whose scan loops would
+/// Out-of-line [`touch_plru`] for the fast-path hot loop: keeps the tree
+/// walk's code out of [`Cache::lookup_fill_fast`], whose scan loop would
 /// otherwise pay a codegen penalty on every policy for maintenance only
 /// tree-pLRU needs (measured ~40% on the LRU dcache replay when inlined).
 #[inline(never)]
@@ -687,6 +685,40 @@ mod policy_tests {
             }
             let miss_rate = c.stats.misses() as f64 / 32.0;
             assert!(miss_rate > 0.5, "{policy:?}: miss rate {miss_rate}");
+        }
+    }
+
+    #[test]
+    fn lookup_fill_fast_matches_access_then_fill() {
+        for policy in
+            [ReplacementPolicy::Lru, ReplacementPolicy::TreePlru, ReplacementPolicy::Random]
+        {
+            // 8 sets x 8 ways x 64 B = 4 KiB.
+            let cfg = CacheConfig::with_policy(4096, 64, 8, policy);
+            let (mut fast, mut reference) = (Cache::new(cfg), Cache::new(cfg));
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for i in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Regions of half, one, two and four capacities mix hits,
+                // cold fills and evictions from full sets.
+                let addr = (x >> 8) % [2048, 4096, 8192, 16384][(x & 3) as usize];
+                let hit = fast.lookup_fill_fast(addr);
+                let ref_hit = reference.access(addr, AccessKind::Read);
+                if !ref_hit {
+                    reference.fill(addr);
+                }
+                assert_eq!(hit, ref_hit, "{policy:?} access {i}: hit/miss");
+                assert_eq!(fast.tags, reference.tags, "{policy:?} access {i}: tags");
+                assert_eq!(fast.lru, reference.lru, "{policy:?} access {i}: stamps");
+                // The fast path keeps the pLRU words only where they are read.
+                if policy == ReplacementPolicy::TreePlru {
+                    assert_eq!(fast.plru, reference.plru, "{policy:?} access {i}: pLRU words");
+                }
+                assert_eq!(fast.rng_state, reference.rng_state, "{policy:?} access {i}: rng");
+                assert_eq!(fast.clock, reference.clock, "{policy:?} access {i}: clock");
+            }
         }
     }
 

@@ -241,18 +241,13 @@ impl Hierarchy {
     /// L1: probe L1 for `addr`'s successor line and fill on miss. Returns
     /// `true` when a fill was issued so the stream engine can tally it.
     /// State-identical to the reference prefetch block in
-    /// [`Hierarchy::access`] (`probe_silent` + `fill` there), minus the
-    /// evicted-address reconstruction and the `prefetch_fills` bump, which
-    /// the tally flushes in bulk.
+    /// [`Hierarchy::access`] (`probe_silent` + `fill` there, fused into one
+    /// `Cache::lookup_fill_fast` here), minus the evicted-address
+    /// reconstruction and the `prefetch_fills` bump, which the tally
+    /// flushes in bulk.
     #[inline]
     pub(crate) fn prefetch_fast(&mut self, addr: u64) -> bool {
-        let next = addr + self.l1.config().line_bytes;
-        if self.l1.probe_fast(next) {
-            false
-        } else {
-            self.l1.fill_fast(next);
-            true
-        }
+        !self.l1.lookup_fill_fast(addr + self.l1.config().line_bytes)
     }
 
     /// Bulk `prefetch_fills` flush from the stream replay engine.
@@ -260,27 +255,23 @@ impl Hierarchy {
         self.stats.prefetch_fills += n;
     }
 
-    /// Fast-path access: the exact lookup/fill/clock sequence of
-    /// [`Hierarchy::access`] minus statistics (tallied in bulk by the
-    /// stream replay engine via [`Hierarchy::add_bulk_stats`]).
+    /// Fast-path access: every level's exact lookup/fill/clock sequence
+    /// of [`Hierarchy::access`] minus statistics (tallied in bulk by the
+    /// stream replay engine via [`Hierarchy::add_bulk_stats`]). Each level
+    /// installs on its own miss before the next level is probed; that only
+    /// reorders operations on *different* caches, so no cache sees a
+    /// different sequence than in the reference.
     #[inline]
     pub(crate) fn access_fast(&mut self, addr: u64) -> MemLevel {
-        if self.l1.probe_fast(addr) {
-            return MemLevel::L1;
+        if self.l1.lookup_fill_fast(addr) {
+            MemLevel::L1
+        } else if self.l2.lookup_fill_fast(addr) {
+            MemLevel::L2
+        } else if self.l3.lookup_fill_fast(addr) {
+            MemLevel::L3
+        } else {
+            MemLevel::Memory
         }
-        if self.l2.probe_fast(addr) {
-            self.l1.fill_fast(addr);
-            return MemLevel::L2;
-        }
-        if self.l3.probe_fast(addr) {
-            self.l2.fill_fast(addr);
-            self.l1.fill_fast(addr);
-            return MemLevel::L3;
-        }
-        self.l3.fill_fast(addr);
-        self.l2.fill_fast(addr);
-        self.l1.fill_fast(addr);
-        MemLevel::Memory
     }
 
     /// Appends all three levels' canonical state (see
@@ -472,6 +463,49 @@ mod tests {
         h.access(0, AccessKind::Read);
         h.reset();
         assert_eq!(h.access(0, AccessKind::Read), MemLevel::Memory);
+    }
+
+    #[test]
+    fn access_fast_matches_access_per_address() {
+        for policy in
+            [ReplacementPolicy::Lru, ReplacementPolicy::TreePlru, ReplacementPolicy::Random]
+        {
+            for prefetch in [false, true] {
+                let cfg = HierarchyConfig {
+                    l1: CacheConfig::with_policy(512, 64, 2, policy),
+                    l2: CacheConfig::with_policy(2048, 64, 4, policy),
+                    l3: CacheConfig::with_policy(8192, 64, 8, policy),
+                    prefetch_next_line: prefetch,
+                };
+                let (mut fast, mut reference) = (Hierarchy::new(cfg), Hierarchy::new(cfg));
+                let mut fast_prefetch_fills = 0;
+                let mut x = 0x2545_F491_4F6C_DD1Du64;
+                for i in 0..20_000 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // Regions sized to each level's capacity and beyond, so
+                    // every level satisfies a share of the stream.
+                    let addr = (x >> 8) % [512, 2048, 8192, 32768][(x & 3) as usize];
+                    let kind = if x & 4 == 0 { AccessKind::Read } else { AccessKind::Write };
+                    let level = fast.access_fast(addr);
+                    if prefetch && level != MemLevel::L1 && fast.prefetch_fast(addr) {
+                        fast_prefetch_fills += 1;
+                    }
+                    let ref_level = reference.access(addr, kind);
+                    assert_eq!(level, ref_level, "{policy:?} prefetch={prefetch} access {i}");
+                    assert_eq!(
+                        fast_prefetch_fills,
+                        reference.stats().prefetch_fills,
+                        "{policy:?} prefetch={prefetch} access {i}: prefetch fills"
+                    );
+                }
+                let (mut fast_state, mut reference_state) = (Vec::new(), Vec::new());
+                fast.canonical_into(&mut fast_state);
+                reference.canonical_into(&mut reference_state);
+                assert_eq!(fast_state, reference_state, "{policy:?} prefetch={prefetch}");
+            }
+        }
     }
 
     #[test]

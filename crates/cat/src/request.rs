@@ -22,7 +22,7 @@
 //! ```
 
 use crate::data::MeasurementSet;
-use crate::runner::{self, RunnerConfig};
+use crate::runner::{self, RunnerConfig, MAX_REPETITIONS};
 use catalyze_obs::{NoopObserver, Observer};
 use catalyze_sim::{CpuEventSet, GpuEventSet};
 use std::fmt;
@@ -116,6 +116,10 @@ pub enum ConfigError {
     ZeroGpuDevices,
     /// `dcache_threads == 0`: the per-thread median would be over nothing.
     ZeroDcacheThreads,
+    /// More than 310 `repetitions` with more than one data-cache thread: a
+    /// thread's late repetitions would reuse the next thread's noise
+    /// streams, silently correlating the "independent" threads.
+    TooManyRepetitions,
 }
 
 impl fmt::Display for ConfigError {
@@ -130,6 +134,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroGpuWavefronts => write!(f, "gpu_wavefronts must be at least 1"),
             ConfigError::ZeroGpuDevices => write!(f, "gpu_devices must be at least 1"),
             ConfigError::ZeroDcacheThreads => write!(f, "dcache_threads must be at least 1"),
+            ConfigError::TooManyRepetitions => write!(
+                f,
+                "repetitions must be at most {MAX_REPETITIONS} with more than one dcache thread"
+            ),
         }
     }
 }
@@ -196,6 +204,9 @@ impl RunnerConfig {
         }
         if self.dcache_threads == 0 {
             return Err(ConfigError::ZeroDcacheThreads);
+        }
+        if self.dcache_threads > 1 && self.repetitions > MAX_REPETITIONS {
+            return Err(ConfigError::TooManyRepetitions);
         }
         Ok(())
     }
@@ -433,6 +444,18 @@ mod tests {
             RunnerConfig::builder().dcache_threads(0).build().unwrap_err(),
             ConfigError::ZeroDcacheThreads
         );
+    }
+
+    #[test]
+    fn repetitions_stop_where_thread_noise_streams_would_alias() {
+        assert_eq!(MAX_REPETITIONS, 310);
+        RunnerConfig::builder().repetitions(310).build().unwrap();
+        assert_eq!(
+            RunnerConfig::builder().repetitions(311).build().unwrap_err(),
+            ConfigError::TooManyRepetitions
+        );
+        // One data-cache thread has no neighbor to alias with.
+        RunnerConfig::builder().repetitions(311).dcache_threads(1).build().unwrap();
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //! Each CPU domain runs on one of two engines ([`SimEngine`]): the default
 //! `Replay` engine records every sweep point's kernel once as a
 //! [`KernelTrace`] and replays the memoized trace, parallelizing the
-//! record/replay sweeps and the per-repetition counter reads; the `Direct`
-//! engine executes every dynamic instruction sequentially and is kept as
-//! the reference path for parity tests and the `BENCH_sim` speedup gate.
+//! record/replay sweeps; the `Direct` engine executes every dynamic
+//! instruction sequentially and is kept as the reference path for parity
+//! tests and the `BENCH_sim` speedup gate. On both engines (and on the GPU
+//! domain) the counters are read by the PMU's event-major sweep kernel
+//! ([`CpuPmu::read_cpu_sweep`]), parallel over events.
 //! Both produce bit-identical [`MeasurementSet`]s — the noise streams are
 //! keyed by `(event, repetition, point, group)`, never by wall-clock or
 //! thread identity.
@@ -29,7 +31,6 @@
 use crate::data::MeasurementSet;
 use crate::request::SimEngine;
 use crate::{branch, dcache, flops_cpu, flops_gpu};
-use catalyze_events::EventId;
 use catalyze_obs::{NoopObserver, Observer, Span};
 use catalyze_sim::{
     CoreConfig, Cpu, CpuEventSet, CpuPmu, ExecStats, GpuConfig, GpuDevice, GpuEventSet, GpuStats,
@@ -90,14 +91,31 @@ impl RunnerConfig {
     }
 }
 
-fn all_ids(n: usize) -> Vec<EventId> {
-    (0..n).map(|i| EventId(i as u32)).collect()
-}
+/// Run-key stride between repetitions; every sweep has fewer points.
+const REP_STRIDE: usize = 100_000;
+
+/// Run-key offset between the data-cache benchmark's threads.
+const THREAD_STRIDE: usize = 31_000_000;
+
+/// Most repetitions whose run keys stay clear of the next data-cache
+/// thread's: with more, thread `t` at repetition `MAX_REPETITIONS` would
+/// reuse thread `t + 1`'s repetition-0 noise. [`RunnerConfig::validate`]
+/// enforces it.
+pub(crate) const MAX_REPETITIONS: usize = THREAD_STRIDE / REP_STRIDE;
 
 /// Mixes repetition and point indices into one PMU run key, so every
 /// (event, repetition, point, group) observation draws independent noise.
 fn run_key(rep: usize, point: usize) -> usize {
-    rep * 100_000 + point
+    rep * REP_STRIDE + point
+}
+
+/// Divides every reading of `runs[rep][event][point]` by `norms[point]`.
+fn normalize(runs: &mut [Vec<Vec<f64>>], norms: &[f64]) {
+    for row in runs.iter_mut().flatten() {
+        for (x, &n) in row.iter_mut().zip(norms) {
+            *x /= n;
+        }
+    }
 }
 
 /// Publishes the sweep shape of a finished benchmark run. Observer calls
@@ -137,12 +155,9 @@ fn record_engine_counters(
     obs.counter("stream.passes_collapsed", stream.passes_collapsed);
 }
 
-/// Collects per-point stats and reads all events, normalized by `norm`.
-///
-/// The greedy counter scheduling is deterministic in `(set, events)`, so
-/// it is computed once and the per-repetition reads — pure functions of
-/// the run key — proceed in parallel. `key_offset` separates noise streams
-/// that share a sweep (the per-thread cache chases).
+/// Reads all events over the sweep, normalized per point by `norms`.
+/// `key_offset` separates noise streams that share a sweep (the per-thread
+/// cache chases).
 fn read_all_cpu(
     set: &CpuEventSet,
     pmu: &CpuPmu,
@@ -151,24 +166,10 @@ fn read_all_cpu(
     repetitions: usize,
     key_offset: usize,
 ) -> Vec<Vec<Vec<f64>>> {
-    let events = all_ids(set.len());
-    let groups = pmu.schedule(set, &events);
-    let reps: Vec<usize> = (0..repetitions).collect();
-    reps.par_iter()
-        .map(|&rep| {
-            // counts[point][event] -> transpose into [event][point]
-            let per_point: Vec<Vec<f64>> = stats
-                .iter()
-                .enumerate()
-                .map(|(p, s)| {
-                    pmu.read_cpu_scheduled(set, s, &events, &groups, run_key(rep, p) + key_offset)
-                })
-                .collect();
-            (0..events.len())
-                .map(|e| per_point.iter().zip(norms).map(|(counts, &n)| counts[e] / n).collect())
-                .collect()
-        })
-        .collect()
+    let mut runs =
+        pmu.read_cpu_sweep(set, stats, repetitions, |rep, p| run_key(rep, p) + key_offset);
+    normalize(&mut runs, norms);
+    runs
 }
 
 /// Simulates one program per sweep point on the selected engine.
@@ -466,7 +467,7 @@ pub(crate) fn dcache_threads_with_engine(
             domain: format!("dcache/thread={thread}"),
             point_labels: dcache::point_labels(&h),
             events: set.iter().map(|(_, d)| d.info.name.to_string()).collect(),
-            runs: read_all_cpu(set, &pmu, stats, &norms, cfg.repetitions, thread * 31_000_000),
+            runs: read_all_cpu(set, &pmu, stats, &norms, cfg.repetitions, thread * THREAD_STRIDE),
         })
         .collect()
 }
@@ -605,24 +606,13 @@ pub fn measure_gpu_flops(
             })
             .collect()
     };
-    let events = all_ids(set.len());
     let pmu = CpuPmu::new(cfg.pmu);
-    let norm = cfg.gpu_wavefronts as f64;
+    let norms = vec![cfg.gpu_wavefronts as f64; points.len()];
     let runs = {
         let _s = Span::enter(obs, "read-counters");
-        let reps: Vec<usize> = (0..cfg.repetitions).collect();
-        reps.par_iter()
-            .map(|&rep| {
-                let per_point: Vec<Vec<f64>> = device_stats
-                    .iter()
-                    .enumerate()
-                    .map(|(p, devs)| pmu.read_gpu(set, devs, &events, run_key(rep, p)))
-                    .collect();
-                (0..events.len())
-                    .map(|e| per_point.iter().map(|counts| counts[e] / norm).collect())
-                    .collect()
-            })
-            .collect()
+        let mut runs = pmu.read_gpu_sweep(set, &device_stats, cfg.repetitions, run_key);
+        normalize(&mut runs, &norms);
+        runs
     };
     record_runner_counters(obs, points.len(), set.len(), cfg.repetitions);
     MeasurementSet {

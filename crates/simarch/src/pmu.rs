@@ -7,12 +7,19 @@
 //! simulated PMU models exactly that: events are partitioned into groups of
 //! `counters` and each group is conceptually a separate run of the
 //! (deterministic) workload, with its own noise stream.
+//!
+//! Two read shapes share one noise-key derivation ([`observe`]): the
+//! per-point [`CpuPmu::read_cpu`]/[`CpuPmu::read_gpu`], and the event-major
+//! sweep kernels [`CpuPmu::read_cpu_sweep`]/[`CpuPmu::read_gpu_sweep`] that
+//! read every event of a set over a whole (repetition × point) sweep. Both
+//! return bit-identical values for the same run key.
 
 use crate::cpu::ExecStats;
 use crate::events_cpu::{CpuBase, CpuEventDef, CpuEventSet};
 use crate::gpu::{GpuEventSet, GpuStats};
-use crate::noise::event_rng;
+use crate::noise::{event_rng, NoiseModel};
 use catalyze_events::EventId;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Which physical counter(s) can host an event — the scheduling constraint
@@ -68,6 +75,75 @@ impl PmuConfig {
     pub fn groups_for(&self, n: usize) -> usize {
         n.div_ceil(self.counters.max(1))
     }
+}
+
+/// Salt that separates the GPU noise streams from the CPU ones.
+const GPU_SEED_SALT: u64 = 0x6770;
+
+/// Run `r`, counter group `g` reads noise stream `r * RUN_STRIDE + g`:
+/// distinct for every pair while a schedule has fewer groups than this.
+const RUN_STRIDE: usize = 1_000_003;
+
+/// One observation of one event: architectural counters read back their
+/// true count exactly (no RNG is seeded), every other event draws from its
+/// own `(seed, event, run, group)` noise stream. Every read path derives its
+/// noise key here.
+fn observe(noise: NoiseModel, truth: f64, seed: u64, id: EventId, run: usize, group: usize) -> f64 {
+    if noise.is_exact() {
+        return truth.max(0.0);
+    }
+    let mut rng = event_rng(seed, id.index(), run * RUN_STRIDE + group);
+    noise.apply(truth, &mut rng)
+}
+
+/// What one sweep work item needs to read an event: its id and counter
+/// group (the noise key), its noise model, and its true count per point.
+struct EventTruth {
+    id: EventId,
+    group: usize,
+    noise: NoiseModel,
+    counts: Vec<f64>,
+}
+
+/// The event-major sweep kernel: one parallel work item per event. Each
+/// item computes its true counts once (`truth`) and reads them for every
+/// repetition; its `[rep][point]` rows are then moved into
+/// `runs[rep][event]`.
+fn sweep<T, K, F>(
+    seed: u64,
+    items: &[T],
+    repetitions: usize,
+    run_key: K,
+    truth: F,
+) -> Vec<Vec<Vec<f64>>>
+where
+    T: Sync,
+    K: Fn(usize, usize) -> usize + Sync,
+    F: Fn(&T) -> EventTruth + Sync,
+{
+    let per_event: Vec<Vec<Vec<f64>>> = items
+        .par_iter()
+        .map(|item| {
+            let EventTruth { id, group, noise, counts } = truth(item);
+            (0..repetitions)
+                .map(|rep| {
+                    counts
+                        .iter()
+                        .enumerate()
+                        .map(|(p, &t)| observe(noise, t, seed, id, run_key(rep, p), group))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let mut runs: Vec<Vec<Vec<f64>>> =
+        (0..repetitions).map(|_| Vec::with_capacity(items.len())).collect();
+    for rows in per_event {
+        for (run, row) in runs.iter_mut().zip(rows) {
+            run.push(row);
+        }
+    }
+    runs
 }
 
 /// CPU-side PMU bound to an event inventory.
@@ -152,32 +228,45 @@ impl CpuPmu {
         run: usize,
     ) -> Vec<f64> {
         let groups = self.schedule(set, events);
-        self.read_cpu_scheduled(set, stats, events, &groups, run)
-    }
-
-    /// [`CpuPmu::read_cpu`] against a precomputed group assignment from
-    /// [`CpuPmu::schedule`]. Scheduling is deterministic in `(set, events)`,
-    /// so hoisting it out of a repetition/point sweep reads the exact same
-    /// values while paying the greedy-scheduling pass once.
-    pub fn read_cpu_scheduled(
-        &self,
-        set: &CpuEventSet,
-        stats: &ExecStats,
-        events: &[EventId],
-        groups: &[usize],
-        run: usize,
-    ) -> Vec<f64> {
         events
             .iter()
             .zip(groups)
-            .map(|(&id, &group)| {
-                // lint: allow(panic, reachable_panic): ids were validated when the schedule was built
+            .map(|(&id, group)| {
+                // lint: allow(panic): ids were validated when the schedule was built
                 let def = set.def(id).expect("validated by schedule");
-                let truth = def.base.eval(stats) * def.scale;
-                let mut rng = event_rng(self.cfg.seed, id.index(), run * 1_000_003 + group);
-                def.noise.apply(truth, &mut rng)
+                observe(def.noise, def.base.eval(stats) * def.scale, self.cfg.seed, id, run, group)
             })
             .collect()
+    }
+
+    /// Reads every event of `set` over a whole sweep: `stats[p]` is sweep
+    /// point `p`, and repetition `rep` of point `p` reads under run key
+    /// `run_key(rep, p)`. Returns raw counts as `runs[rep][event][point]`.
+    ///
+    /// Bit-identical to calling [`CpuPmu::read_cpu`] with all events of the
+    /// set once per `(rep, p)`, but event-major: the schedule is computed
+    /// once, each event's true count once per point, and the events — not
+    /// the few repetitions — are the parallel work items.
+    pub fn read_cpu_sweep<K>(
+        &self,
+        set: &CpuEventSet,
+        stats: &[ExecStats],
+        repetitions: usize,
+        run_key: K,
+    ) -> Vec<Vec<Vec<f64>>>
+    where
+        K: Fn(usize, usize) -> usize + Sync,
+    {
+        let events: Vec<EventId> = set.iter().map(|(id, _)| id).collect();
+        let groups = self.schedule(set, &events);
+        let items: Vec<(EventId, &CpuEventDef, usize)> =
+            set.iter().zip(groups).map(|((id, def), group)| (id, def, group)).collect();
+        sweep(self.cfg.seed, &items, repetitions, run_key, |&(id, def, group)| EventTruth {
+            id,
+            group,
+            noise: def.noise,
+            counts: stats.iter().map(|s| def.base.eval(s) * def.scale).collect(),
+        })
     }
 
     /// Reads GPU `events` against per-device statistics.
@@ -188,21 +277,47 @@ impl CpuPmu {
         events: &[EventId],
         run: usize,
     ) -> Vec<f64> {
+        let seed = self.cfg.seed ^ GPU_SEED_SALT;
         events
             .iter()
             .enumerate()
             .map(|(pos, &id)| {
                 let def = set
                     .def(id)
-                    // lint: allow(panic, reachable_panic): scheduling an id outside the event set is a programming error
+                    // lint: allow(panic): scheduling an id outside the event set is a programming error
                     .unwrap_or_else(|| panic!("unknown GPU event id {}", id.index()));
                 let truth = set.true_count(id, devices).unwrap_or(0.0);
-                let group = pos / self.cfg.counters.max(1);
-                let mut rng =
-                    event_rng(self.cfg.seed ^ 0x6770, id.index(), run * 1_000_003 + group);
-                def.noise.apply(truth, &mut rng)
+                observe(def.noise, truth, seed, id, run, pos / self.cfg.counters.max(1))
             })
             .collect()
+    }
+
+    /// The GPU twin of [`CpuPmu::read_cpu_sweep`]: `devices[p]` holds the
+    /// per-device statistics of sweep point `p`. Bit-identical to
+    /// [`CpuPmu::read_gpu`] with all events of the set per `(rep, p)`.
+    pub fn read_gpu_sweep<K>(
+        &self,
+        set: &GpuEventSet,
+        devices: &[Vec<GpuStats>],
+        repetitions: usize,
+        run_key: K,
+    ) -> Vec<Vec<Vec<f64>>>
+    where
+        K: Fn(usize, usize) -> usize + Sync,
+    {
+        let counters = self.cfg.counters.max(1);
+        let items: Vec<_> = set.iter().collect();
+        sweep(self.cfg.seed ^ GPU_SEED_SALT, &items, repetitions, run_key, |&(id, def)| {
+            EventTruth {
+                id,
+                group: id.index() / counters,
+                noise: def.noise,
+                counts: devices
+                    .iter()
+                    .map(|devs| set.true_count(id, devs).unwrap_or(0.0))
+                    .collect(),
+            }
+        })
     }
 }
 
@@ -342,6 +457,113 @@ mod tests {
         let id1 = set.id_of("rocm:::SQ_INSTS_VALU_ADD_F16:device=1").unwrap();
         let v = pmu.read_gpu(&set, &devices, &[id0, id1], 0);
         assert_eq!(v, vec![100.0, 0.0]);
+    }
+
+    /// Sweep points with distinct FP, memory and branch activity, so exact,
+    /// noisy and load-attribution events all read nonzero somewhere.
+    fn sweep_stats() -> Vec<ExecStats> {
+        (1..=4u64)
+            .map(|k| {
+                let mut cpu = Cpu::new(CoreConfig::default_sim());
+                let b = Block::new()
+                    .repeat(Instruction::fp(Precision::Double, VecWidth::V256, FpKind::Fma), 4)
+                    .push(Instruction::Load { addr: k * 4096, size: 8 })
+                    .push(Instruction::Store { addr: k * 8192, size: 8 })
+                    .push(Instruction::cond(7, k % 2 == 0));
+                cpu.run(&Program::new().counted_loop(b, 50 * k, 0));
+                cpu.stats()
+            })
+            .collect()
+    }
+
+    fn gpu_sweep_devices() -> Vec<Vec<GpuStats>> {
+        [FpKind::Add, FpKind::Mul, FpKind::Fma]
+            .iter()
+            .enumerate()
+            .map(|(k, &op)| {
+                let mut dev = GpuDevice::new(GpuConfig::default_sim());
+                dev.launch(&GpuKernel {
+                    name: "k".into(),
+                    op,
+                    prec: Precision::Single,
+                    instructions: 8 + k as u64,
+                    wavefronts: 4,
+                });
+                vec![dev.stats, GpuStats::default()]
+            })
+            .collect()
+    }
+
+    fn sweep_key(rep: usize, point: usize) -> usize {
+        rep * 1_000 + point + 17
+    }
+
+    #[test]
+    fn cpu_sweep_matches_per_point_reads() {
+        let set = sapphire_rapids_like();
+        let ids: Vec<EventId> = set.iter().map(|(id, _)| id).collect();
+        let stats = sweep_stats();
+        let programmable =
+            set.iter().filter(|(_, def)| !matches!(slot_for(def), CounterSlot::Fixed(_))).count();
+        let mut spilled = false;
+        for seed in [1, 7, 0xCA7A_1F2E] {
+            for counters in [1, 3, 8] {
+                let pmu = CpuPmu::new(PmuConfig { counters, seed });
+                // Spilling: constraints force more groups than the
+                // programmable events alone would fill.
+                let groups = pmu.schedule(&set, &ids).into_iter().max().unwrap() + 1;
+                spilled |= groups > programmable.div_ceil(counters);
+                for reps in 1..=4 {
+                    let runs = pmu.read_cpu_sweep(&set, &stats, reps, sweep_key);
+                    assert_eq!(runs.len(), reps);
+                    for (rep, run) in runs.iter().enumerate() {
+                        assert_eq!(run.len(), ids.len());
+                        for (p, s) in stats.iter().enumerate() {
+                            let want = pmu.read_cpu(&set, s, &ids, sweep_key(rep, p));
+                            for (e, w) in want.iter().enumerate() {
+                                assert_eq!(
+                                    run[e][p].to_bits(),
+                                    w.to_bits(),
+                                    "seed {seed} counters {counters} reps {reps}: \
+                                     rep {rep} event {e} point {p}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(spilled, "some schedule must spill past the naive group count");
+    }
+
+    #[test]
+    fn gpu_sweep_matches_per_point_reads() {
+        let set = mi250x_like(2);
+        let ids: Vec<EventId> = set.iter().map(|(id, _)| id).collect();
+        let devices = gpu_sweep_devices();
+        for seed in [1, 7, 0xCA7A_1F2E] {
+            for counters in [1, 3, 8] {
+                let pmu = CpuPmu::new(PmuConfig { counters, seed });
+                for reps in 1..=4 {
+                    let runs = pmu.read_gpu_sweep(&set, &devices, reps, sweep_key);
+                    assert_eq!(runs.len(), reps);
+                    for (rep, run) in runs.iter().enumerate() {
+                        assert_eq!(run.len(), ids.len());
+                        for (p, devs) in devices.iter().enumerate() {
+                            let want = pmu.read_gpu(&set, devs, &ids, sweep_key(rep, p));
+                            for (e, w) in want.iter().enumerate() {
+                                assert_eq!(
+                                    run[e][p].to_bits(),
+                                    w.to_bits(),
+                                    "seed {seed} counters {counters} reps {reps}: \
+                                     rep {rep} event {e} point {p}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

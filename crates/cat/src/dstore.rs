@@ -65,11 +65,12 @@ impl StoreConfig {
 
     /// Program performing `passes` full write passes.
     pub fn program(&self, base: u64, seed: u64, passes: u64) -> Program {
-        let mut block = Block::new();
-        for &a in &self.addresses(base, seed) {
-            block = block.push(Instruction::Store { addr: a, size: 8 });
-        }
-        Program::new().counted_loop(block, passes, 13)
+        let instructions = self
+            .addresses(base, seed)
+            .into_iter()
+            .map(|addr| Instruction::Store { addr, size: 8 })
+            .collect();
+        Program::new().counted_loop(Block { instructions }, passes, 13)
     }
 }
 

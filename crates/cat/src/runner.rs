@@ -37,6 +37,7 @@ use catalyze_sim::{
     KernelTrace, PmuConfig, Program, StreamStats,
 };
 use rayon::prelude::*;
+use std::cmp::Reverse;
 
 /// Runner configuration.
 ///
@@ -234,8 +235,26 @@ fn fold_stream_stats(results: Vec<(ExecStats, StreamStats)>) -> (Vec<ExecStats>,
     (stats, stream)
 }
 
+/// Maps `f` over the points `0..work.len()` in parallel, claiming points in
+/// descending `work` order (ties in point order) so the largest points start
+/// first and the cheap ones fill in behind them. Results come back in point
+/// order; each point is an independent work item, so the visiting order
+/// cannot change them.
+fn par_map_largest_first<R, F>(work: &[u64], f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let mut order: Vec<(u64, usize)> = work.iter().copied().zip(0..).collect();
+    order.sort_unstable_by_key(|&(w, p)| (Reverse(w), p));
+    let mut done: Vec<(usize, R)> = order.par_iter().map(|&(_, p)| (p, f(p))).collect();
+    done.sort_unstable_by_key(|&(p, _)| p);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Simulates a warmup-then-measure sweep (the memory-chase domains) on the
-/// selected engine.
+/// selected engine. `work[p]` is point `p`'s accesses per pass: it sizes the
+/// sweep and orders the `Replay` engine's parallel phases largest first.
 ///
 /// The warmup and measurement programs of a chase point differ only in the
 /// top-level pass count, so `Replay` records the measurement program once
@@ -243,7 +262,7 @@ fn fold_stream_stats(results: Vec<(ExecStats, StreamStats)>) -> (Vec<ExecStats>,
 /// `Cpu::replay_passes`.
 fn simulate_chase_sweep<F>(
     core: CoreConfig,
-    n_points: usize,
+    work: &[u64],
     program_of: F,
     warmup_passes: u64,
     measure_passes: u64,
@@ -253,12 +272,10 @@ fn simulate_chase_sweep<F>(
 where
     F: Fn(usize, u64) -> Program + Sync,
 {
-    let points: Vec<usize> = (0..n_points).collect();
     match engine {
         SimEngine::Direct => (
-            points
-                .iter()
-                .map(|&p| {
+            (0..work.len())
+                .map(|p| {
                     let mut cpu = Cpu::new(core);
                     cpu.run(&program_of(p, warmup_passes));
                     cpu.reset_stats();
@@ -271,22 +288,16 @@ where
         SimEngine::Replay => {
             let traces: Vec<KernelTrace> = {
                 let _s = Span::enter(obs, "record");
-                points
-                    .par_iter()
-                    .map(|&p| KernelTrace::record(&program_of(p, measure_passes)))
-                    .collect()
+                par_map_largest_first(work, |p| KernelTrace::record(&program_of(p, measure_passes)))
             };
             let _s = Span::enter(obs, "replay");
-            let results: Vec<(ExecStats, StreamStats)> = traces
-                .par_iter()
-                .map(|t| {
-                    let mut cpu = Cpu::new(core);
-                    cpu.replay_passes(t, warmup_passes);
-                    cpu.reset_stats();
-                    cpu.replay_passes(t, measure_passes);
-                    (cpu.stats(), cpu.stream_stats())
-                })
-                .collect();
+            let results: Vec<(ExecStats, StreamStats)> = par_map_largest_first(work, |p| {
+                let mut cpu = Cpu::new(core);
+                cpu.replay_passes(&traces[p], warmup_passes);
+                cpu.reset_stats();
+                cpu.replay_passes(&traces[p], measure_passes);
+                (cpu.stats(), cpu.stream_stats())
+            });
             fold_stream_stats(results)
         }
     }
@@ -430,6 +441,7 @@ pub(crate) fn dcache_threads_with_engine(
 ) -> Vec<MeasurementSet> {
     let h = cfg.core.hierarchy;
     let configs = dcache::sweep(&h);
+    let work: Vec<u64> = configs.iter().map(|c| c.pointers).collect();
     // Each thread chases its own permutation over a disjoint buffer.
     let mut stream = StreamStats::default();
     let all_stats: Vec<Vec<ExecStats>> = {
@@ -440,7 +452,7 @@ pub(crate) fn dcache_threads_with_engine(
                 let base = (thread as u64 + 1) << 40;
                 let (stats, per_thread) = simulate_chase_sweep(
                     cfg.core,
-                    configs.len(),
+                    &work,
                     |p, passes| {
                         let seed = (thread as u64) * 7919 + p as u64;
                         configs[p].program(base, seed, passes)
@@ -456,8 +468,7 @@ pub(crate) fn dcache_threads_with_engine(
             .collect()
     };
     record_engine_counters(obs, &cfg.core, engine, stream);
-    let norms: Vec<f64> =
-        configs.iter().map(|c| (c.pointers * dcache::MEASURE_PASSES) as f64).collect();
+    let norms: Vec<f64> = work.iter().map(|&w| (w * dcache::MEASURE_PASSES) as f64).collect();
     let pmu = CpuPmu::new(cfg.pmu);
     let _s = Span::enter(obs, "read-counters");
     all_stats
@@ -478,13 +489,16 @@ pub fn median_across_threads(threads: &[MeasurementSet]) -> MeasurementSet {
     let first = &threads[0];
     let mut out = first.clone();
     out.domain = "dcache".into();
-    for r in 0..first.num_runs() {
-        for e in 0..first.num_events() {
-            for p in 0..first.num_points() {
-                let vals: Vec<f64> = threads.iter().map(|t| t.runs[r][e][p]).collect();
-                out.runs[r][e][p] =
-                    // lint: allow(panic, reachable_panic): per-thread runs always produce at least one sample
-                    catalyze_linalg::vector::median(&vals).expect("non-empty thread set");
+    // One scratch buffer for every cell's per-thread values.
+    let mut vals = Vec::with_capacity(threads.len());
+    for (r, run) in out.runs.iter_mut().enumerate() {
+        for (e, row) in run.iter_mut().enumerate() {
+            for (p, cell) in row.iter_mut().enumerate() {
+                vals.clear();
+                vals.extend(threads.iter().map(|t| t.runs[r][e][p]));
+                if let Some(m) = catalyze_linalg::vector::median_in_place(&mut vals) {
+                    *cell = m;
+                }
             }
         }
     }
@@ -506,11 +520,12 @@ pub(crate) fn dtlb_with_engine(
     let _root = Span::enter(obs, "run/dtlb");
     let tlb = cfg.core.tlb;
     let configs = crate::dtlb::sweep(&tlb);
+    let work: Vec<u64> = configs.iter().map(|c| c.slots()).collect();
     let (stats, stream) = {
         let _s = Span::enter(obs, "simulate");
         simulate_chase_sweep(
             cfg.core,
-            configs.len(),
+            &work,
             |p, passes| configs[p].program(0, 4242 + p as u64, passes),
             crate::dtlb::WARMUP_PASSES,
             crate::dtlb::MEASURE_PASSES,
@@ -518,8 +533,7 @@ pub(crate) fn dtlb_with_engine(
             engine,
         )
     };
-    let norms: Vec<f64> =
-        configs.iter().map(|c| (c.slots() * crate::dtlb::MEASURE_PASSES) as f64).collect();
+    let norms: Vec<f64> = work.iter().map(|&w| (w * crate::dtlb::MEASURE_PASSES) as f64).collect();
     let pmu = CpuPmu::new(cfg.pmu);
     let runs = {
         let _s = Span::enter(obs, "read-counters");
@@ -550,11 +564,12 @@ pub(crate) fn dstore_with_engine(
     let _root = Span::enter(obs, "run/dstore");
     let h = cfg.core.hierarchy;
     let configs = crate::dstore::sweep(&h);
+    let work: Vec<u64> = configs.iter().map(|c| c.lines).collect();
     let (stats, stream) = {
         let _s = Span::enter(obs, "simulate");
         simulate_chase_sweep(
             cfg.core,
-            configs.len(),
+            &work,
             |p, passes| configs[p].program(0, 9000 + p as u64, passes),
             crate::dstore::WARMUP_PASSES,
             crate::dstore::MEASURE_PASSES,
@@ -563,7 +578,7 @@ pub(crate) fn dstore_with_engine(
         )
     };
     let norms: Vec<f64> =
-        configs.iter().map(|c| (c.lines * crate::dstore::MEASURE_PASSES) as f64).collect();
+        work.iter().map(|&w| (w * crate::dstore::MEASURE_PASSES) as f64).collect();
     let pmu = CpuPmu::new(cfg.pmu);
     let runs = {
         let _s = Span::enter(obs, "read-counters");
@@ -794,7 +809,26 @@ mod tests {
                 let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 let m = median.runs[0][e][p];
                 assert!(m >= lo && m <= hi);
+                let reference = catalyze_linalg::vector::median(&vals).map(f64::to_bits);
+                assert_eq!(Some(m.to_bits()), reference);
             }
+        }
+    }
+
+    #[test]
+    fn largest_first_map_equals_sequential_map_in_point_order() {
+        let f = |p: usize| (p, p * p + 1);
+        let cases: [&[u64]; 6] = [
+            &[],
+            &[0],
+            &[5, 5, 5, 5],
+            &[0, 0, 3, 0, 3],
+            &[1, 9, 2, 8, 3, 7, 4, 6, 5],
+            &[4096, 16, 0, 4096, 256, 1, 0, 16],
+        ];
+        for work in cases {
+            let expected: Vec<(usize, usize)> = (0..work.len()).map(f).collect();
+            assert_eq!(par_map_largest_first(work, f), expected, "{work:?}");
         }
     }
 

@@ -71,13 +71,19 @@ pub fn mean(v: &[f64]) -> f64 {
 /// Returns `None` for an empty slice and ignores NaN ordering subtleties by
 /// using total ordering on bit patterns (callers pass finite data).
 pub fn median(v: &[f64]) -> Option<f64> {
+    median_in_place(&mut v.to_vec())
+}
+
+/// [`median`] without the copy: sorts `v` in place (total ordering) and
+/// returns its median, bit-identical to `median` of the unsorted slice.
+/// Lets callers reuse one scratch buffer across many small medians.
+pub fn median_in_place(v: &mut [f64]) -> Option<f64> {
     if v.is_empty() {
         return None;
     }
-    let mut sorted = v.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len();
-    Some(if n % 2 == 1 { sorted[n / 2] } else { 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]) })
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    Some(if n % 2 == 1 { v[n / 2] } else { 0.5 * (v[n / 2 - 1] + v[n / 2]) })
 }
 
 /// Largest absolute entry; zero for an empty slice.
@@ -155,6 +161,40 @@ mod tests {
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
         assert_eq!(median(&[]), None);
         assert_eq!(median(&[7.0]), Some(7.0));
+    }
+
+    #[test]
+    fn median_in_place_matches_median_bit_for_bit() {
+        // Reference: the copy-sort-middle formula, written out independently.
+        fn reference(v: &[f64]) -> Option<u64> {
+            let mut s = v.to_vec();
+            s.sort_by(f64::total_cmp);
+            let n = s.len();
+            let m = match n {
+                0 => return None,
+                _ if n % 2 == 1 => s[n / 2],
+                _ => 0.5 * (s[n / 2 - 1] + s[n / 2]),
+            };
+            Some(m.to_bits())
+        }
+        let cases: [&[f64]; 8] = [
+            &[],
+            &[7.0],
+            &[0.1, 0.2],
+            &[0.0, -0.0],
+            &[3.0, 1.0, 2.0],
+            &[4.0, 1.0, 2.0, 3.0],
+            &[1e308, 1e308, -5.0, 2.5e-9],
+            &[0.3, 0.1, 0.7, 0.2, 0.9, 0.4],
+        ];
+        let mut scratch = Vec::new();
+        for v in cases {
+            scratch.clear();
+            scratch.extend_from_slice(v);
+            let in_place = median_in_place(&mut scratch).map(f64::to_bits);
+            assert_eq!(median(v).map(f64::to_bits), reference(v), "{v:?}");
+            assert_eq!(in_place, reference(v), "{v:?}");
+        }
     }
 
     #[test]
